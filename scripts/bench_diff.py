@@ -12,8 +12,7 @@ Two kinds of checks:
   embed max-abs-diff 0.0, tracegen bit-identical to serial at every
   worker count, workers>1 throughput at least the serial throughput
   (the persistent pool's reason to exist), obs predictions unchanged,
-  refit promoted + deterministic, static plans deterministic, and the
-  suite's own gates passing.
+  refit promoted + deterministic, and the suite's own gates passing.
 * **Ratio fields** vs the baseline with a generous tolerance
   (``--tolerance``, default 0.5): CI runners are noisy and shared, so
   throughput may halve before we call it a regression, and latency may
@@ -63,10 +62,6 @@ def _hard_invariants(fresh: dict) -> list[str]:
             bad.append("refit: candidate lost the promotion gate")
         if not refit["deterministic"]:
             bad.append("refit: refits from one snapshot diverged")
-    for point in fresh.get("static") or []:
-        if not point["deterministic"]:
-            bad.append(f"static {point['model']}: nondeterministic "
-                       f"plan digest")
     gates = fresh.get("gates", {})
     if gates.get("status") != "pass":
         for failure in gates.get("failures", ["gates missing"]):

@@ -1,6 +1,6 @@
 """Performance-regression suite for the batched-embedding stack.
 
-Three micro-benchmarks with machine-readable output (``BENCH_perf.json``
+Five micro-benchmarks with machine-readable output (``BENCH_perf.json``
 at the repo root is the committed baseline):
 
 * **embed**: one batched :meth:`repro.ghn.GHN2.embed_many` call over K
@@ -18,9 +18,6 @@ at the repo root is the committed baseline):
 * **serve**: p50/p99 latency and throughput of a
   :class:`~repro.serve.PredictionServer` burst driven by the existing
   :class:`~repro.serve.LoadGenerator`.
-* **static**: :func:`repro.static.plan_graph` latency per zoo model
-  plus a plan-digest determinism check (two independently-built plans
-  must hash identically).
 * **obs**: serving p50 with observability fully on (tracing + metrics
   + flight recorder) vs fully off, gating the ``repro.obs`` overhead
   contract -- instrumentation must stay within a few percent of the
@@ -56,9 +53,9 @@ from ..parallel import get_pool, pool_stats
 from ..sim import generate_trace
 
 __all__ = ["EmbedPerfPoint", "TracegenPerfPoint", "ServePerfResult",
-           "StaticPerfPoint", "ObsOverheadResult", "RefitPerfResult",
+           "ObsOverheadResult", "RefitPerfResult",
            "embed_throughput", "tracegen_throughput", "serve_latency",
-           "static_planning", "obs_overhead", "continual_refit",
+           "obs_overhead", "continual_refit",
            "run_perf_suite", "check_gates"]
 
 #: Batch sizes exercised by the full suite (the ISSUE's K in {1, 8, 32}).
@@ -66,6 +63,14 @@ DEFAULT_BATCH_SIZES: tuple[int, ...] = (1, 8, 32)
 
 #: Worker counts exercised by the tracegen benchmark.
 DEFAULT_WORKER_COUNTS: tuple[int, ...] = (1, 4)
+
+#: Matched off/on burst pairs behind each serving-overhead ratio
+#: (:func:`obs_overhead`, :func:`continual_refit`).  On a shared 2-CPU
+#: host one burst's p50 moves by ~0.3 ms between identical runs, more
+#: than the 0.25 ms slack of the gate; resampling 60 pairs measured in
+#: the test process put the median of 5 pairs past the gate in ~16% of
+#: draws (true obs cost ~0.08 ms) against <1% for 31 pairs.
+OVERHEAD_PAIRS = 31
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,20 +123,6 @@ class TracegenPerfPoint:
             "points_per_sec": self.points_per_sec,
             "identical_to_serial": self.identical_to_serial,
         }
-
-
-@dataclasses.dataclass(frozen=True)
-class StaticPerfPoint:
-    """Static-planner timing and determinism for one zoo model."""
-
-    model: str
-    steps: int
-    seconds: float
-    digest: str
-    deterministic: bool
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -374,7 +365,7 @@ def obs_overhead(*, requests: int = 60, rate: float = 2000.0,
         preds_off = [predictor.predict(r).predicted_time for r in probe]
         obs.enable()
         preds_on = [predictor.predict(r).predicted_time for r in probe]
-        for _ in range(5):
+        for _ in range(OVERHEAD_PAIRS):
             obs.disable()
             off = burst().p50
             obs.enable()
@@ -491,7 +482,7 @@ def continual_refit(*, requests: int = 48, rate: float = 2000.0,
 
     burst()  # warm predictor/embedding caches off the clock
     pairs: list[tuple[float, float]] = []
-    for _ in range(5):
+    for _ in range(OVERHEAD_PAIRS):
         off = burst().p50
         pairs.append((off, burst(first.engine).p50))
     pairs.sort(key=lambda p: (p[1] / p[0]) if p[0] > 0 else 1.0)
@@ -509,31 +500,6 @@ def continual_refit(*, requests: int = 48, rate: float = 2000.0,
         else 1.0)
 
 
-def static_planning(models: Sequence[str] = ("alexnet", "resnet18",
-                                             "mobilenet_v2"), *,
-                    batch_size: int = 32) -> list[StaticPerfPoint]:
-    """Time :func:`repro.static.plan_graph` and check plan determinism.
-
-    Each model is planned twice from independently-built graphs; the
-    two content digests must match (the static planner's determinism
-    contract, gated both here and in ``scripts/ci.sh``).
-    """
-    from ..static import plan_graph
-
-    results: list[StaticPerfPoint] = []
-    for name in models:
-        with TRACER.span("bench.perf.static", model=name):
-            start = time.perf_counter()
-            plan = plan_graph(get_model(name), batch_size=batch_size)
-            seconds = time.perf_counter() - start
-        replan = plan_graph(get_model(name), batch_size=batch_size)
-        results.append(StaticPerfPoint(
-            model=name, steps=len(plan.steps), seconds=seconds,
-            digest=plan.digest,
-            deterministic=plan.digest == replan.digest))
-    return results
-
-
 def run_perf_suite(*, quick: bool = False, seed: int = 0) -> dict:
     """Run every perf benchmark and return the JSON payload.
 
@@ -547,14 +513,12 @@ def run_perf_suite(*, quick: bool = False, seed: int = 0) -> dict:
         tracegen = tracegen_throughput(
             (1, 4), cluster_sizes=tuple(range(1, 5)), seed=seed)
         serve = None
-        static = static_planning(("alexnet", "resnet18"))
         obs_cost = obs_overhead(requests=32, seed=seed)
         refit = continual_refit(requests=24, seed=seed)
     else:
         embed = embed_throughput(seed=seed)
         tracegen = tracegen_throughput(seed=seed)
         serve = serve_latency(seed=seed)
-        static = static_planning()
         obs_cost = obs_overhead(seed=seed)
         refit = continual_refit(seed=seed)
     return {
@@ -566,7 +530,6 @@ def run_perf_suite(*, quick: bool = False, seed: int = 0) -> dict:
         "tracegen": [p.to_dict() for p in tracegen],
         "parallel_pool": pool_stats(),
         "serve": serve.to_dict() if serve is not None else None,
-        "static": [p.to_dict() for p in static],
         "obs": obs_cost.to_dict(),
         "refit": refit.to_dict(),
     }
@@ -657,11 +620,6 @@ def check_gates(payload: dict, *, min_speedup: float = 1.0,
                     f"{ratio:.2f}x the serial "
                     f"{serial_pps:.1f} points/s "
                     f"(gate {floor:.2f}x -- {why})")
-    for point in payload.get("static") or []:
-        if not point["deterministic"]:
-            failures.append(
-                f"static {point['model']}: plan digest changed between "
-                f"two runs (planner is non-deterministic)")
     obs_point = payload.get("obs")
     if obs_point:
         if not obs_point["predictions_identical"]:

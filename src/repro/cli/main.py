@@ -13,9 +13,6 @@ Subcommands mirror the deployment workflow:
   (zoo models and/or serialized graph JSON files); ``--static`` adds
   the symbolic-inference analyzer (:mod:`repro.static`), ``--code``
   runs the AST determinism linter over ``src/repro``;
-* ``repro plan``      -- lower graphs to a static execution plan
-  (pre-planned op schedule + preallocated buffer pool); ``--digest``
-  prints one content-hash line per model for determinism gating;
 * ``repro profile``   -- trace the full fit+predict pipeline of one
   model and render the span tree (see :mod:`repro.obs`);
 * ``repro serve``     -- run the concurrent prediction server against
@@ -349,27 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "src/repro (unseeded RNG, wall-clock "
                              "reads, mutable default args); exits 1 on "
                              "non-allowlisted findings")
-
-    p_plan = sub.add_parser(
-        "plan",
-        help="statically plan graph execution (schedule + preallocated "
-             "buffers) from inferred shapes")
-    p_plan.add_argument("models", nargs="*",
-                        help="zoo model names to plan")
-    p_plan.add_argument("--all", action="store_true",
-                        help="plan every model in the zoo registry")
-    p_plan.add_argument("--input-size", type=int, default=64,
-                        help="input resolution for zoo graphs")
-    p_plan.add_argument("--batch", type=int, default=1,
-                        help="batch size the buffer pool is sized for")
-    p_plan.add_argument("--json", action="store_true", dest="as_json",
-                        help="emit the full plan(s) as JSON")
-    p_plan.add_argument("--digest", action="store_true",
-                        help="print only '<model> <digest>' lines "
-                             "(for determinism diffing in CI)")
-    p_plan.add_argument("--max-steps", type=int, default=None,
-                        help="truncate the printed schedule after N "
-                             "steps (text output only)")
 
     p_store = sub.add_parser(
         "store",
@@ -1036,10 +1012,6 @@ def _cmd_bench(args) -> int:
                   f"p99 {s['p99_ms']:.2f}ms  "
                   f"{s['throughput_rps']:.1f} req/s "
                   f"({s['completed']}/{s['requests']} completed)")
-        for p in payload.get("static") or []:
-            match = "ok" if p["deterministic"] else "MISMATCH"
-            print(f"static {p['model']}: {p['steps']} steps planned in "
-                  f"{p['seconds'] * 1e3:.1f}ms (digest {match})")
         o = payload.get("obs")
         if o:
             match = ("bitwise ok" if o["predictions_identical"]
@@ -1168,42 +1140,6 @@ def _cmd_lint(args) -> int:
               f"({num_errors} error(s), {num_warnings} warning(s))")
     code_rc = _cmd_code_lint(args) if args.code else 0
     return 1 if (num_errors or code_rc) else 0
-
-
-def _cmd_plan(args) -> int:
-    import json
-
-    from ..graphs.zoo import get_model, list_models
-    from ..static import plan_graph
-
-    names = list(args.models)
-    if args.all:
-        names = list_models()
-    if not names:
-        print("error: nothing to plan; pass model names or --all",
-              file=sys.stderr)
-        return 1
-
-    plans = []
-    for name in names:
-        graph = get_model(name, input_size=args.input_size)
-        plans.append(plan_graph(graph, batch_size=args.batch))
-
-    if args.digest:
-        for plan in plans:
-            print(f"{plan.graph_name} {plan.digest}")
-        return 0
-    if args.as_json:
-        print(json.dumps(
-            [dict(plan.to_dict(), digest=plan.digest)
-             for plan in plans],
-            indent=2, sort_keys=True))
-        return 0
-    for index, plan in enumerate(plans):
-        if index:
-            print()
-        print(plan.format_text(max_steps=args.max_steps))
-    return 0
 
 
 def _open_store(path: Path):
@@ -1356,7 +1292,6 @@ _COMMANDS = {
     "bench": _cmd_bench,
     "report": _cmd_report,
     "lint": _cmd_lint,
-    "plan": _cmd_plan,
     "store": _cmd_store,
     "refit": _cmd_refit,
 }

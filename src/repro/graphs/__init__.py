@@ -10,7 +10,7 @@ workloads.
 from .analysis import (GraphProfile, activation_memory_bytes,
                        parameter_bytes, profile_graph,
                        training_flops_per_sample)
-from .builder import GraphBuilder, conv_out_size
+from .builder import GraphBuilder
 from .fingerprint import graph_fingerprint
 from .graph import ComputationalGraph, GraphValidationError, Node
 from .ops import (OP_VOCABULARY, OpType, is_activation, is_merge,
@@ -26,7 +26,7 @@ __all__ = [
     "OpType", "OP_VOCABULARY", "one_hot", "one_hot_matrix",
     "is_weighted_op", "is_activation", "is_pooling", "is_merge",
     "Node", "ComputationalGraph", "GraphValidationError",
-    "GraphBuilder", "conv_out_size", "graph_fingerprint",
+    "GraphBuilder", "graph_fingerprint",
     "GraphProfile", "profile_graph", "training_flops_per_sample",
     "activation_memory_bytes", "parameter_bytes",
     "shortest_path_lengths", "virtual_edge_weights",

@@ -1,33 +1,27 @@
-"""Fluent builder for computational graphs with automatic shape inference.
+"""Fluent builder for computational graphs.
 
-Every method appends one primitive node, infers its output shape from its
-inputs, computes learnable-parameter and FLOP counts, wires edges, and
-returns the new node id.  The zoo modules (:mod:`repro.graphs.zoo`) are
-written entirely against this API, mirroring how PyTorch/TensorFlow would
-trace a model into a DAG (paper Sec. III-B, step 1).
-
-FLOPs convention: one multiply-accumulate = 2 FLOPs; purely elementwise ops
-cost 1 FLOP per output element (a few cost more, documented inline).
+Every method appends one primitive node, wires its edges and returns
+the new node id.  The dedicated methods (``conv``, ``linear``,
+``batch_norm``, ...) only pick the op type and name its attrs;
+:meth:`GraphBuilder.add_op` derives the node's output shape, learnable
+parameters and FLOPs from the per-op rules in :mod:`repro.static.rules`,
+the single source of op semantics (the verifier and the symbolic
+inference engine read the same rules).  The zoo modules
+(:mod:`repro.graphs.zoo`) are written entirely against this API,
+mirroring how PyTorch/TensorFlow would trace a model into a DAG (paper
+Sec. III-B, step 1).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
+from ..static.rules import (broadcast_mul_shape, infer_output_shape,
+                            recount_cost)
 from .graph import ComputationalGraph, GraphValidationError, Node
 from .ops import OpType
 
-__all__ = ["GraphBuilder", "conv_out_size"]
-
-
-def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
-    """Spatial output size of a convolution/pooling window."""
-    out = (size + 2 * padding - kernel) // stride + 1
-    if out <= 0:
-        raise GraphValidationError(
-            f"non-positive spatial output: size={size} kernel={kernel} "
-            f"stride={stride} padding={padding}")
-    return out
+__all__ = ["GraphBuilder"]
 
 
 class GraphBuilder:
@@ -82,34 +76,54 @@ class GraphBuilder:
         return shp  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
+    # generic op append (rule-driven)
+    # ------------------------------------------------------------------
+    def add_op(self, op: OpType, inputs: Sequence[int], *,
+               name: str | None = None, **attrs) -> int:
+        """Append a node of any op type, deriving its shape and cost
+        from the per-op rules in :mod:`repro.static.rules`.
+
+        Raises :class:`GraphValidationError` when the rule cannot derive
+        a positive output shape or the ``(params, flops)`` cost from
+        ``inputs`` + ``attrs``.
+        """
+        in_shapes = [self.shape(src) for src in inputs]
+        out_shape = infer_output_shape(op, attrs, in_shapes)
+        if out_shape is None or any(s <= 0 for s in out_shape):
+            raise GraphValidationError(
+                f"cannot derive {op.value!r} output shape from inputs "
+                f"{in_shapes} and attrs {sorted(attrs)}")
+        cost = recount_cost(op, attrs, in_shapes)
+        if cost is None:
+            raise GraphValidationError(
+                f"cannot derive {op.value!r} params/FLOPs from inputs "
+                f"{in_shapes} and attrs {sorted(attrs)}")
+        params, flops = cost
+        return self._add_node(op, name or op.value, out_shape,
+                              list(inputs), params, flops, **attrs)
+
+    # ------------------------------------------------------------------
     # convolutions and linear layers
     # ------------------------------------------------------------------
     def conv(self, src: int, out_channels: int, kernel_size: int,
              stride: int = 1, padding: int = 0, groups: int = 1,
              bias: bool = True, name: str = "conv") -> int:
         """2-D convolution. ``groups == in_channels`` => depthwise node."""
-        c_in, h, w = self._chw(src)
+        c_in = self._chw(src)[0]
         if c_in % groups or out_channels % groups:
             raise GraphValidationError(
                 f"groups={groups} does not divide channels "
                 f"({c_in} -> {out_channels})")
-        h_out = conv_out_size(h, kernel_size, stride, padding)
-        w_out = conv_out_size(w, kernel_size, stride, padding)
-        weight = kernel_size * kernel_size * (c_in // groups) * out_channels
-        params = weight + (out_channels if bias else 0)
-        macs = weight * h_out * w_out
-        flops = 2 * macs + (out_channels * h_out * w_out if bias else 0)
         if groups == 1:
             op = OpType.CONV
         elif groups == c_in and c_in == out_channels:
             op = OpType.DWCONV
         else:
             op = OpType.GROUP_CONV
-        return self._add_node(op, name, (out_channels, h_out, w_out), [src],
-                              params, flops, kernel_size=kernel_size,
-                              stride=stride, padding=padding, groups=groups,
-                              in_channels=c_in, out_channels=out_channels,
-                              bias=bias)
+        return self.add_op(op, [src], name=name, kernel_size=kernel_size,
+                           stride=stride, padding=padding, groups=groups,
+                           in_channels=c_in, out_channels=out_channels,
+                           bias=bias)
 
     def linear(self, src: int, out_features: int, bias: bool = True,
                name: str = "fc") -> int:
@@ -119,144 +133,93 @@ class GraphBuilder:
             raise GraphValidationError(
                 f"linear expects flattened input, got shape {shp}; "
                 f"call flatten() first")
-        in_features = shp[0]
-        params = in_features * out_features + (out_features if bias else 0)
-        flops = 2 * in_features * out_features + (out_features if bias else 0)
-        return self._add_node(OpType.LINEAR, name, (out_features,), [src],
-                              params, flops, in_features=in_features,
-                              out_features=out_features, bias=bias)
+        return self.add_op(OpType.LINEAR, [src], name=name,
+                           in_features=shp[0], out_features=out_features,
+                           bias=bias)
 
     # ------------------------------------------------------------------
     # normalization
     # ------------------------------------------------------------------
     def batch_norm(self, src: int, name: str = "bn") -> int:
-        """Batch normalization: 2C learnable params, ~4 FLOPs/element."""
-        shp = self.shape(src)
-        c = shp[0]
-        elements = 1
-        for s in shp:
-            elements *= s
-        return self._add_node(OpType.BATCH_NORM, name, shp, [src], 2 * c,
-                              4 * elements, channels=c)
+        return self.add_op(OpType.BATCH_NORM, [src], name=name,
+                           channels=self.shape(src)[0])
 
     def layer_norm(self, src: int, name: str = "ln") -> int:
-        shp = self.shape(src)
-        elements = 1
-        for s in shp:
-            elements *= s
-        return self._add_node(OpType.LAYER_NORM, name, shp, [src],
-                              2 * elements, 5 * elements)
+        return self.add_op(OpType.LAYER_NORM, [src], name=name)
 
     def lrn(self, src: int, size: int = 5, name: str = "lrn") -> int:
         """Local response normalization (AlexNet)."""
-        shp = self.shape(src)
-        elements = 1
-        for s in shp:
-            elements *= s
-        return self._add_node(OpType.LRN, name, shp, [src], 0,
-                              (2 * size + 3) * elements, size=size)
+        return self.add_op(OpType.LRN, [src], name=name, size=size)
 
     # ------------------------------------------------------------------
     # activations (all pointwise, shape preserving)
     # ------------------------------------------------------------------
-    def _pointwise(self, op: OpType, src: int, name: str,
-                   flops_per_elem: int = 1) -> int:
-        shp = self.shape(src)
-        elements = 1
-        for s in shp:
-            elements *= s
-        return self._add_node(op, name, shp, [src], 0,
-                              flops_per_elem * elements)
-
     def relu(self, src: int, name: str = "relu") -> int:
-        return self._pointwise(OpType.RELU, src, name)
+        return self.add_op(OpType.RELU, [src], name=name)
 
     def relu6(self, src: int, name: str = "relu6") -> int:
-        return self._pointwise(OpType.RELU6, src, name)
+        return self.add_op(OpType.RELU6, [src], name=name)
 
     def sigmoid(self, src: int, name: str = "sigmoid") -> int:
-        return self._pointwise(OpType.SIGMOID, src, name, 4)
+        return self.add_op(OpType.SIGMOID, [src], name=name)
 
     def hard_sigmoid(self, src: int, name: str = "hsigmoid") -> int:
-        return self._pointwise(OpType.HARD_SIGMOID, src, name, 2)
+        return self.add_op(OpType.HARD_SIGMOID, [src], name=name)
 
     def tanh(self, src: int, name: str = "tanh") -> int:
-        return self._pointwise(OpType.TANH, src, name, 4)
+        return self.add_op(OpType.TANH, [src], name=name)
 
     def silu(self, src: int, name: str = "silu") -> int:
-        return self._pointwise(OpType.SILU, src, name, 5)
+        return self.add_op(OpType.SILU, [src], name=name)
 
     def hard_swish(self, src: int, name: str = "hswish") -> int:
-        return self._pointwise(OpType.HARD_SWISH, src, name, 3)
+        return self.add_op(OpType.HARD_SWISH, [src], name=name)
 
     def gelu(self, src: int, name: str = "gelu") -> int:
-        return self._pointwise(OpType.GELU, src, name, 8)
+        return self.add_op(OpType.GELU, [src], name=name)
 
     def softmax(self, src: int, name: str = "softmax") -> int:
-        return self._pointwise(OpType.SOFTMAX, src, name, 5)
+        return self.add_op(OpType.SOFTMAX, [src], name=name)
 
     def dropout(self, src: int, p: float = 0.5, name: str = "dropout") -> int:
-        shp = self.shape(src)
-        elements = 1
-        for s in shp:
-            elements *= s
-        return self._add_node(OpType.DROPOUT, name, shp, [src], 0, elements,
-                              p=p)
+        return self.add_op(OpType.DROPOUT, [src], name=name, p=p)
 
     def identity(self, src: int, name: str = "identity") -> int:
-        return self._add_node(OpType.IDENTITY, name, self.shape(src), [src],
-                              0, 0)
+        return self.add_op(OpType.IDENTITY, [src], name=name)
 
     # ------------------------------------------------------------------
     # pooling and spatial reshaping
     # ------------------------------------------------------------------
     def max_pool(self, src: int, kernel_size: int, stride: int | None = None,
                  padding: int = 0, name: str = "maxpool") -> int:
-        c, h, w = self._chw(src)
-        stride = kernel_size if stride is None else stride
-        h_out = conv_out_size(h, kernel_size, stride, padding)
-        w_out = conv_out_size(w, kernel_size, stride, padding)
-        flops = kernel_size * kernel_size * c * h_out * w_out
-        return self._add_node(OpType.MAX_POOL, name, (c, h_out, w_out),
-                              [src], 0, flops, kernel_size=kernel_size,
-                              stride=stride, padding=padding)
+        return self.add_op(OpType.MAX_POOL, [src], name=name,
+                           kernel_size=kernel_size,
+                           stride=kernel_size if stride is None else stride,
+                           padding=padding)
 
     def avg_pool(self, src: int, kernel_size: int, stride: int | None = None,
                  padding: int = 0, name: str = "avgpool") -> int:
-        c, h, w = self._chw(src)
-        stride = kernel_size if stride is None else stride
-        h_out = conv_out_size(h, kernel_size, stride, padding)
-        w_out = conv_out_size(w, kernel_size, stride, padding)
-        flops = kernel_size * kernel_size * c * h_out * w_out
-        return self._add_node(OpType.AVG_POOL, name, (c, h_out, w_out),
-                              [src], 0, flops, kernel_size=kernel_size,
-                              stride=stride, padding=padding)
+        return self.add_op(OpType.AVG_POOL, [src], name=name,
+                           kernel_size=kernel_size,
+                           stride=kernel_size if stride is None else stride,
+                           padding=padding)
 
     def global_avg_pool(self, src: int, name: str = "gap") -> int:
         """Global average pooling to ``(C, 1, 1)``."""
-        c, h, w = self._chw(src)
-        return self._add_node(OpType.GLOBAL_AVG_POOL, name, (c, 1, 1), [src],
-                              0, c * h * w)
+        return self.add_op(OpType.GLOBAL_AVG_POOL, [src], name=name)
 
     def adaptive_avg_pool(self, src: int, output_size: int,
                           name: str = "adaptive_avgpool") -> int:
-        c, h, w = self._chw(src)
-        return self._add_node(OpType.ADAPTIVE_AVG_POOL, name,
-                              (c, output_size, output_size), [src], 0,
-                              c * h * w, output_size=output_size)
+        return self.add_op(OpType.ADAPTIVE_AVG_POOL, [src], name=name,
+                           output_size=output_size)
 
     def flatten(self, src: int, name: str = "flatten") -> int:
-        shp = self.shape(src)
-        features = 1
-        for s in shp:
-            features *= s
-        return self._add_node(OpType.FLATTEN, name, (features,), [src], 0, 0)
+        return self.add_op(OpType.FLATTEN, [src], name=name)
 
     def channel_shuffle(self, src: int, groups: int,
                         name: str = "shuffle") -> int:
-        shp = self.shape(src)
-        return self._add_node(OpType.CHANNEL_SHUFFLE, name, shp, [src], 0, 0,
-                              groups=groups)
+        return self.add_op(OpType.CHANNEL_SHUFFLE, [src], name=name,
+                           groups=groups)
 
     def channel_split(self, src: int, name: str = "split") -> tuple[int, int]:
         """Split a feature map into two channel halves (ShuffleNet-V2).
@@ -264,27 +227,21 @@ class GraphBuilder:
         Modeled as two IDENTITY nodes each carrying half the channels; the
         split itself moves no data and costs no FLOPs.
         """
-        c, h, w = self._chw(src)
+        c = self._chw(src)[0]
         if c % 2:
             raise GraphValidationError(f"channel_split needs even channels, "
                                        f"got {c}")
-        left = self._add_node(OpType.IDENTITY, f"{name}.left",
-                              (c // 2, h, w), [src], 0, 0, split="left")
-        right = self._add_node(OpType.IDENTITY, f"{name}.right",
-                               (c // 2, h, w), [src], 0, 0, split="right")
-        return left, right
+        return (self.add_op(OpType.IDENTITY, [src], name=f"{name}.left",
+                            split="left"),
+                self.add_op(OpType.IDENTITY, [src], name=f"{name}.right",
+                            split="right"))
 
     def zero_pad(self, src: int, padding: int, name: str = "pad") -> int:
-        c, h, w = self._chw(src)
-        return self._add_node(OpType.ZERO_PAD, name,
-                              (c, h + 2 * padding, w + 2 * padding), [src],
-                              0, 0, padding=padding)
+        return self.add_op(OpType.ZERO_PAD, [src], name=name,
+                           padding=padding)
 
     def upsample(self, src: int, scale: int, name: str = "upsample") -> int:
-        c, h, w = self._chw(src)
-        return self._add_node(OpType.UPSAMPLE, name, (c, h * scale, w * scale),
-                              [src], 0, c * h * w * scale * scale,
-                              scale=scale)
+        return self.add_op(OpType.UPSAMPLE, [src], name=name, scale=scale)
 
     # ------------------------------------------------------------------
     # branch merging
@@ -295,12 +252,7 @@ class GraphBuilder:
         if len(shapes) != 1:
             raise GraphValidationError(
                 f"add: mismatched branch shapes {sorted(shapes)}")
-        shp = shapes.pop()
-        elements = 1
-        for s in shp:
-            elements *= s
-        return self._add_node(OpType.SUM, name, shp, list(srcs), 0,
-                              (len(srcs) - 1) * elements)
+        return self.add_op(OpType.SUM, srcs, name=name)
 
     def mul(self, srcs: Sequence[int], name: str = "mul") -> int:
         """Elementwise product; broadcast ``(C,1,1)`` scales onto ``(C,H,W)``.
@@ -308,105 +260,37 @@ class GraphBuilder:
         Used for squeeze-and-excite channel scaling.
         """
         shapes = [self.shape(s) for s in srcs]
-        full = max(shapes, key=lambda s: len(s) * 10**9 + sum(s))
-        for shp in shapes:
-            if shp != full and not (len(shp) == len(full) == 3
-                                    and shp[0] == full[0]
-                                    and shp[1] == shp[2] == 1):
-                raise GraphValidationError(
-                    f"mul: shape {shp} cannot broadcast to {full}")
-        elements = 1
-        for s in full:
-            elements *= s
-        return self._add_node(OpType.MUL, name, full, list(srcs), 0,
-                              (len(srcs) - 1) * elements)
+        if broadcast_mul_shape(shapes) is None:
+            raise GraphValidationError(
+                f"mul: shapes {shapes} cannot broadcast to one shape")
+        return self.add_op(OpType.MUL, srcs, name=name)
 
     def concat(self, srcs: Sequence[int], name: str = "concat") -> int:
         """Channel-wise concatenation of feature maps (or 1-D features)."""
-        raw_shapes = [self.shape(s) for s in srcs]
-        if all(len(shp) == 1 for shp in raw_shapes):
-            total = sum(shp[0] for shp in raw_shapes)
-            return self._add_node(OpType.CONCAT, name, (total,), list(srcs),
-                                  0, 0)
-        shapes = [self._chw(s) for s in srcs]
-        spatial = {(h, w) for _, h, w in shapes}
-        if len(spatial) != 1:
-            raise GraphValidationError(
-                f"concat: mismatched spatial dims {sorted(spatial)}")
-        h, w = spatial.pop()
-        c_total = sum(c for c, _, _ in shapes)
-        return self._add_node(OpType.CONCAT, name, (c_total, h, w),
-                              list(srcs), 0, 0)
-
-    # ------------------------------------------------------------------
-    # generic op append (rule-driven)
-    # ------------------------------------------------------------------
-    def add_op(self, op: OpType, inputs: Sequence[int], *,
-               name: str | None = None, **attrs) -> int:
-        """Append a node of any op type, deriving its shape and cost
-        from the per-op rules in :mod:`repro.static.rules`.
-
-        Unlike the dedicated methods above, this needs no hand-written
-        arithmetic -- the static analyzer's registry is the single
-        source of truth.  Raises :class:`GraphValidationError` when the
-        rule cannot derive an output shape from ``inputs`` + ``attrs``.
-        """
-        from ..static.rules import infer_output_shape, recount_cost
-        in_shapes = [self.shape(src) for src in inputs]
-        out_shape = infer_output_shape(op, attrs, in_shapes)
-        if out_shape is None or any(s <= 0 for s in out_shape):
-            raise GraphValidationError(
-                f"cannot derive {op.value!r} output shape from inputs "
-                f"{in_shapes} and attrs {sorted(attrs)}")
-        cost = recount_cost(op, attrs, in_shapes)
-        params, flops = cost if cost is not None else (0, 0)
-        return self._add_node(op, name or op.value, out_shape,
-                              list(inputs), params, flops, **attrs)
+        if not all(len(self.shape(s)) == 1 for s in srcs):
+            spatial = {self._chw(s)[1:] for s in srcs}
+            if len(spatial) != 1:
+                raise GraphValidationError(
+                    f"concat: mismatched spatial dims {sorted(spatial)}")
+        return self.add_op(OpType.CONCAT, srcs, name=name)
 
     # ------------------------------------------------------------------
     # finalization
     # ------------------------------------------------------------------
     def output(self, src: int) -> int:
         """Mark ``src`` as the graph output (appends the OUTPUT sink)."""
-        return self._add_node(OpType.OUTPUT, "output", self.shape(src),
-                              [src], 0, 0)
+        return self.add_op(OpType.OUTPUT, [src], name="output")
 
-    def build(self, *, verify: bool = False, level: str = "full",
-              infer_shapes: bool = False) -> ComputationalGraph:
+    def build(self, *, verify: bool = False,
+              level: str = "full") -> ComputationalGraph:
         """Validate and return the immutable graph.
 
         With ``verify=True`` the full static-analysis rule set
         (:mod:`repro.graphs.verify`) additionally runs and a
         :class:`~repro.graphs.verify.GraphVerificationError` is raised
         on any ERROR-severity diagnostic.
-
-        With ``infer_shapes=True`` every node's ``out_shape`` /
-        ``params`` / ``flops`` annotation is re-derived from the INPUT
-        shape by the symbolic inference engine
-        (:mod:`repro.static.infer`), overwriting whatever the builder
-        methods stored -- so graphs assembled from partial information
-        still come out fully annotated, and drifted annotations are
-        healed rather than shipped.
         """
         graph = ComputationalGraph(self.name, self._nodes, self._edges)
-        if infer_shapes:
-            from ..static.infer import infer_shapes as run_inference
-            import dataclasses as _dc
-            result = run_inference(graph)
-            if not result.ok or result.underdetermined:
-                problems = [d.format() for d in result.diagnostics[:5]]
-                problems += [f"underdetermined shape at node {n}"
-                             for n in result.underdetermined[:5]]
-                raise GraphValidationError(
-                    f"shape inference failed for {self.name!r}:\n  "
-                    + "\n  ".join(problems))
-            nodes = [_dc.replace(nd,
-                                 out_shape=result.shapes[nd.node_id],
-                                 params=result.params[nd.node_id] or 0,
-                                 flops=result.flops[nd.node_id] or 0)
-                     for nd in graph.nodes]
-            graph = ComputationalGraph(self.name, nodes,
-                                       list(graph.edges))
         if verify:
             from .verify import assert_verified
             assert_verified(graph, level=level,

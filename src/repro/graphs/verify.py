@@ -23,9 +23,9 @@ Design:
   :class:`GraphVerificationError` when ERROR-severity diagnostics exist.
 
 The ``fast`` rule subset covers structural invariants (cheap, run on every
-GHN ``embed()``); the full set adds shape/FLOP recomputation and
-virtual-edge cross-checks (run by ``repro lint`` and on serialization
-load).
+GHN ``embed()``); the full set adds shape/FLOP recomputation from the
+per-op rules in :mod:`repro.static.rules` and virtual-edge cross-checks
+(run by ``repro lint`` and on serialization load).
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
+from ..static.rules import (broadcast_mul_shape, infer_output_shape,
+                            recount_cost)
 from .graph import ComputationalGraph, GraphValidationError
 from .ops import OP_VOCABULARY, OpType, is_merge, is_weighted_op
 from .virtual_edges import virtual_edge_weights
@@ -404,42 +406,7 @@ class GraphVerificationError(GraphValidationError):
             + f"\n  run `repro lint` for the full report")
 
 
-# ----------------------------------------------------------------------
-# shape / cost recomputation (delegated to the static analyzer)
-# ----------------------------------------------------------------------
 _CONV_OPS = (OpType.CONV, OpType.DWCONV, OpType.GROUP_CONV)
-
-
-def _infer_shape(nd: NodeView,
-                 in_shapes: list[tuple[int, ...]]) -> tuple[int, ...] | None:
-    """Recompute ``nd``'s output shape from predecessor shapes + attrs.
-
-    Delegates to the per-op rules in :mod:`repro.static.rules` -- the
-    single source of truth for op semantics.  Returns ``None`` when the
-    shape cannot be recomputed (missing attrs, wrong input rank,
-    unknown op); callers skip the cross-check then.
-    """
-    from ..static.rules import infer_output_shape
-    return infer_output_shape(nd.op, nd.attrs, in_shapes,
-                              stored_shape=nd.out_shape)
-
-
-def _recount_cost(nd: NodeView, in_shapes: list[tuple[int, ...]],
-                  ) -> tuple[int, int] | None:
-    """Recompute ``(params, flops)`` using the builder's conventions.
-
-    Delegates to :mod:`repro.static.rules`; returns ``None`` when the
-    op's cost is not recomputable from attrs + input shapes.
-    """
-    from ..static.rules import recount_cost
-    return recount_cost(nd.op, nd.attrs, in_shapes)
-
-
-def _mul_broadcast_shape(
-        shapes: list[tuple[int, ...]]) -> tuple[int, ...] | None:
-    """Mirror :meth:`GraphBuilder.mul` broadcast-shape selection."""
-    from ..static.rules import broadcast_mul_shape
-    return broadcast_mul_shape(shapes)
 
 
 # ----------------------------------------------------------------------
@@ -593,7 +560,8 @@ def _check_shape_consistency(view: GraphView) -> Iterator[Diagnostic]:
             yield warn(f"single-input op {nd.op.value!r} has "
                        f"{len(in_shapes)} predecessors", node=nd,
                        hint="only SUM/MUL/CONCAT merge branches")
-        recomputed = _infer_shape(nd, in_shapes)
+        recomputed = infer_output_shape(nd.op, nd.attrs, in_shapes,
+                                        stored_shape=nd.out_shape)
         if recomputed is not None and recomputed != nd.out_shape:
             yield error(f"stored out_shape {nd.out_shape} != recomputed "
                         f"{recomputed}", node=nd,
@@ -620,7 +588,7 @@ def _check_merge_compatibility(view: GraphView) -> Iterator[Diagnostic]:
                         hint="residual branches must agree exactly in "
                         "shape")
         elif nd.op is OpType.MUL:
-            if _mul_broadcast_shape(in_shapes) is None:
+            if broadcast_mul_shape(in_shapes) is None:
                 yield error(f"mul join over non-broadcastable shapes "
                             f"{sorted(set(in_shapes))}", node=nd,
                             hint="only (C,1,1) scales broadcast onto "
@@ -644,7 +612,7 @@ def _check_merge_compatibility(view: GraphView) -> Iterator[Diagnostic]:
       max_diagnostics=None)
 def _check_cost_recount(view: GraphView) -> Iterator[Diagnostic]:
     for nd in view.nodes:
-        recomputed = _recount_cost(nd, view.input_shapes(nd))
+        recomputed = recount_cost(nd.op, nd.attrs, view.input_shapes(nd))
         if recomputed is None:
             continue
         params, flops = recomputed

@@ -156,6 +156,9 @@ class Histogram:
 def _series_key(name: str, labels: dict | None) -> str:
     if not labels:
         return name
+    if len(labels) == 1:  # the common case on the serving hot path
+        ((label, value),) = labels.items()
+        return f"{name}{{{label}={value}}}"
     body = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
     return f"{name}{{{body}}}"
 
@@ -201,25 +204,31 @@ class MetricsRegistry:
     def _get_or_create(self, name: str, labels: dict | None, factory,
                        kind: type):
         key = _series_key(name, labels)
-        with self._lock:
-            metric = self._metrics.get(key)
-            if metric is None:
-                if (self._series_per_name.get(name, 0)
-                        >= self.max_series_per_name):
-                    # Cardinality bound hit: refuse the new series but
-                    # count the refusal, so unbounded per-request labels
-                    # show up in snapshots instead of in memory graphs.
-                    self._dropped.inc()
-                    return NULL_METRIC
-                metric = factory()
-                self._metrics[key] = metric
-                self._series_per_name[name] = (
-                    self._series_per_name.get(name, 0) + 1)
-            elif not isinstance(metric, kind):
-                raise TypeError(
-                    f"metric {key!r} already registered as "
-                    f"{type(metric).__name__}, not {kind.__name__}")
-            return metric
+        # Lock-free fast path for existing series: a dict read is atomic
+        # and a registered series is never replaced (reset swaps in a
+        # fresh dict wholesale).
+        metric = self._metrics.get(key)
+        if metric is None:
+            with self._lock:
+                metric = self._metrics.get(key)
+                if metric is None:
+                    if (self._series_per_name.get(name, 0)
+                            >= self.max_series_per_name):
+                        # Cardinality bound hit: refuse the new series
+                        # but count the refusal, so unbounded
+                        # per-request labels show up in snapshots
+                        # instead of in memory graphs.
+                        self._dropped.inc()
+                        return NULL_METRIC
+                    metric = factory()
+                    self._metrics[key] = metric
+                    self._series_per_name[name] = (
+                        self._series_per_name.get(name, 0) + 1)
+        if not isinstance(metric, kind):
+            raise TypeError(
+                f"metric {key!r} already registered as "
+                f"{type(metric).__name__}, not {kind.__name__}")
+        return metric
 
     def counter(self, name: str, labels: dict | None = None) -> Counter:
         if not self.enabled:

@@ -170,6 +170,14 @@ class Span:
             yield from child.walk(depth + 1, path)
 
 
+class _ThreadState(threading.local):
+    """One thread's open-span stack and attached ambient context."""
+
+    def __init__(self):
+        self.stack: list[Span] = []
+        self.ambient: TraceContext | None = None
+
+
 class Tracer:
     """Collects spans into per-thread trees; exports records and trees.
 
@@ -180,7 +188,7 @@ class Tracer:
 
     def __init__(self):
         self.enabled = False
-        self._local = threading.local()
+        self._local = _ThreadState()
         self._lock = threading.Lock()
         self._roots: list[Span] = []
         # Monotonic id sources; itertools.count is atomic in CPython.
@@ -198,15 +206,16 @@ class Tracer:
         """Drop all finished spans (and any dangling thread stacks)."""
         with self._lock:
             self._roots = []
-        self._local = threading.local()
+        self._local = _ThreadState()
 
     # -- span creation --------------------------------------------------
     def span(self, name: str, **attrs):
         """Open a named child span of the current thread's active span."""
         if not self.enabled:
             return NULL_SPAN
-        if not self._stack():
-            ambient = getattr(self._local, "ambient", None)
+        local = self._local
+        if not local.stack:
+            ambient = local.ambient
             if ambient is not None and not ambient.sampled:
                 return NULL_SPAN
         return Span(self, name, attrs)
@@ -230,12 +239,12 @@ class Tracer:
         """
         if not self.enabled:
             return None
-        stack = self._stack()
-        if stack:
-            top = stack[-1]
+        local = self._local
+        if local.stack:
+            top = local.stack[-1]
             return TraceContext(trace_id=top.trace_id,
                                 span_id=top.span_id)
-        return getattr(self._local, "ambient", None)
+        return local.ambient
 
     def attach(self, ctx: TraceContext | None):
         """Install ``ctx`` as this thread's ambient trace context.
@@ -248,8 +257,9 @@ class Tracer:
         """
         if not self.enabled or ctx is None:
             return None
-        previous = getattr(self._local, "ambient", None)
-        self._local.ambient = ctx
+        local = self._local
+        previous = local.ambient
+        local.ambient = ctx
         return (previous,)
 
     def detach(self, token) -> None:
@@ -267,16 +277,33 @@ class Tracer:
         finally:
             self.detach(token)
 
-    # -- internal stack maintenance ------------------------------------
-    def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
+    def emit(self, name: str, ctx: TraceContext | None, *,
+             start_wall: float, duration: float, **attrs) -> Span | None:
+        """Record an already-finished span as a child of ``ctx``.
 
+        For work whose interval is known only after the fact, e.g. a
+        request answered by another request's execution.  Touches
+        neither this thread's stack nor its ambient context.  Returns
+        the span, or None when tracing is off or ``ctx`` is None or
+        unsampled.
+        """
+        if not self.enabled or ctx is None or not ctx.sampled:
+            return None
+        span = Span(self, name, attrs)
+        span.span_id = f"s{next(self._span_ids):08x}"
+        span.trace_id = ctx.trace_id
+        span.parent_id = ctx.span_id
+        span.start_wall = start_wall
+        span.duration = duration
+        span._is_root = True
+        with self._lock:
+            self._roots.append(span)
+        return span
+
+    # -- internal stack maintenance ------------------------------------
     def _push(self, span: Span) -> None:
-        stack = self._stack()
+        local = self._local
+        stack = local.stack
         span._is_root = not stack
         span.span_id = f"s{next(self._span_ids):08x}"
         if stack:
@@ -285,7 +312,7 @@ class Tracer:
             span.trace_id = parent.trace_id
             span.parent_id = parent.span_id
         else:
-            ambient = getattr(self._local, "ambient", None)
+            ambient = local.ambient
             if ambient is not None:
                 span.trace_id = ambient.trace_id
                 span.parent_id = ambient.span_id
@@ -295,7 +322,7 @@ class Tracer:
         stack.append(span)
 
     def _pop(self, span: Span) -> None:
-        stack = self._stack()
+        stack = self._local.stack
         # Exception-safe unwind: pop through anything the span's body
         # failed to close (cannot normally happen with context managers,
         # but keeps the stack sane if a generator span leaks).

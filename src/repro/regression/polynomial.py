@@ -9,6 +9,8 @@ terms; ridge regularization keeps the expanded design well-conditioned
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .base import Regressor, StandardScaler, check_fitted
@@ -32,9 +34,22 @@ def polynomial_expand(x: np.ndarray, degree: int = 2,
     for power in range(2, degree + 1):
         blocks.append(x ** power)
     if interactions and degree >= 2 and x.shape[1] > 1:
-        iu, ju = np.triu_indices(x.shape[1], k=1)
+        iu, ju = _pair_indices(x.shape[1])
         blocks.append(x[:, iu] * x[:, ju])
     return np.hstack(blocks)
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Upper-triangular ``(i, j)`` column pairs, ``i < j < n``.
+
+    Cached per width: building them costs more than the expansion of a
+    single row, which is what every served prediction expands.
+    """
+    iu, ju = np.triu_indices(n, k=1)
+    iu.flags.writeable = False
+    ju.flags.writeable = False
+    return iu, ju
 
 
 class PolynomialRegression(Regressor):

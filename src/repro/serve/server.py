@@ -646,24 +646,56 @@ class PredictionServer:
                     with TRACER.span("serve.batch", size=len(live),
                                      slot=slot):
                         with TRACER.span("serve.execute",
-                                         batched=len(live)):
+                                         batched=len(live)) as execute:
                             result = self.predictor.predict(
                                 leader.request)
                 except Exception as exc:  # noqa: BLE001 - per item
                     for item in live:
                         self._complete(item, error=exc, outcome="error")
+                    self._trace_followers(live, execute)
                     return
                 if key is not None:
                     self.cache.store(result, key, version=version)
-            self._mirror(leader.request, result)
-            for item in live:
-                self._complete(
-                    item,
-                    result=dataclasses.replace(result,
-                                               request=item.request),
-                    outcome="ok")
+                self._deliver(live, result)
+            else:
+                # A cache hit still gets a worker-side execute span,
+                # covering the delivery of the cached result.
+                with TRACER.span("serve.execute", batched=len(live),
+                                 source="cache") as execute:
+                    self._deliver(live, result)
         finally:
             TRACER.detach(token)
+        self._trace_followers(live, execute)
+
+    def _deliver(self, live: list[_WorkItem],
+                 result: PredictionResult) -> None:
+        """Mirror the leader's request and complete every live item."""
+        self._mirror(live[0].request, result)
+        for item in live:
+            self._complete(
+                item,
+                result=dataclasses.replace(result, request=item.request),
+                outcome="ok")
+
+    @staticmethod
+    def _trace_followers(live: list[_WorkItem], execute) -> None:
+        """Give each coalesced follower a ``serve.execute`` span in its
+        own trace.
+
+        The span (``source="coalesced"``) copies the interval of the
+        leader's finished ``execute`` span and names it in ``leader``.
+        It is recorded after the results are delivered, so it adds
+        nothing to the latency it describes.  No-op when the leader's
+        span was not recorded (tracing off or the leader unsampled).
+        """
+        leader_span = getattr(execute, "span_id", None)
+        if leader_span is None:
+            return
+        for item in live[1:]:
+            TRACER.emit("serve.execute", item.trace,
+                        start_wall=execute.start_wall,
+                        duration=execute.duration,
+                        source="coalesced", leader=leader_span)
 
     def _complete(self, item: _WorkItem, *, result=None, error=None,
                   outcome: str) -> None:

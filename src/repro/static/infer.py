@@ -117,7 +117,7 @@ class InferenceResult:
                     f"inferred out_shape {shape} != stored "
                     f"{nd.out_shape}", node=nd,
                     hint="stored annotations drifted from op semantics; "
-                    "rebuild with infer_shapes=True"))
+                    "reload with graph_from_dict(infer_shapes=True)"))
             params = self.params.get(nd.node_id)
             if params is not None and params != nd.params:
                 found.append(error(

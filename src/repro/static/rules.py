@@ -1,26 +1,30 @@
-"""Per-op shape-inference and cost rules for the static analyzer.
+"""Per-op shape and cost rules: the single source of op semantics.
 
 Each primitive :class:`~repro.graphs.ops.OpType` gets one
-:class:`OpRule` describing its semantics three ways:
+:class:`OpRule` describing its semantics four ways:
 
 * ``output_rank``   -- rank transfer (used by the engine's forward rank
   pass; ``None`` means the op cannot accept inputs of those ranks);
 * ``output_shape``  -- concrete shape transfer from fully-known input
   shapes + attrs (``None`` when underdetermined, e.g. missing attrs);
-* ``cost``          -- exact ``(params, flops)`` recomputation mirroring
-  the formulas in :mod:`repro.graphs.builder` (``None`` when not
-  recomputable);
+* ``cost``          -- exact ``(params, flops)`` of the node (``None``
+  when not derivable from attrs + input shapes);
 * ``constrain``     -- symbolic constraints tying input dims to output
   dims in a :class:`~repro.static.symbolic.ShapeEnv`, enabling
   *backward* propagation (e.g. solving an unknown input height through
   a stride-1 convolution) on top of plain forward inference.
 
+FLOPs convention: one multiply-accumulate = 2 FLOPs; purely elementwise
+ops cost 1 FLOP per output element, a few cost more
+(:data:`POINTWISE_FLOPS`).
+
 Rules live in a registry keyed by op type; registering the same op
 twice is an error (``replace=True`` to override deliberately, mainly in
-tests).  The registry is the single source of truth for op semantics:
-:mod:`repro.graphs.verify` delegates its full-level shape/FLOP checks
-here, and :class:`~repro.graphs.builder.GraphBuilder.add_op` uses it to
-append nodes without hand-written shape arithmetic.
+tests).  Every consumer of op semantics reads this registry:
+:meth:`~repro.graphs.builder.GraphBuilder.add_op` (behind every builder
+method) annotates each new node with the shape and cost derived here,
+:mod:`repro.graphs.verify` re-derives them for its full-level shape/FLOP
+checks, and :mod:`repro.static.infer` runs them over whole graphs.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ __all__ = [
 
 Shape = tuple[int, ...]
 
-#: Builder FLOP cost per output element of each pointwise op (the
-#: constants in :mod:`repro.graphs.builder`).
+#: FLOP cost per output element of each pointwise op (activations and
+#: dropout).
 POINTWISE_FLOPS: dict[OpType, int] = {
     OpType.RELU: 1, OpType.RELU6: 1, OpType.SIGMOID: 4,
     OpType.HARD_SIGMOID: 2, OpType.TANH: 4, OpType.SILU: 5,
@@ -69,7 +73,8 @@ def conv_output_size(size: int, kernel: int, stride: int,
 
 
 def broadcast_mul_shape(shapes: Sequence[Shape]) -> Shape | None:
-    """Mirror :meth:`GraphBuilder.mul` broadcast-shape selection:
+    """Output shape of an elementwise MUL join, or ``None`` when the
+    inputs do not broadcast: identical shapes pass through and
     ``(C, 1, 1)`` scale vectors broadcast onto a full ``(C, H, W)``."""
     if not shapes:
         return None
@@ -533,9 +538,8 @@ def _register_builtins() -> None:
 
 _register_builtins()
 
-#: Ops whose cost is structurally zero even with no usable inputs --
-#: mirrors the verifier's historical behavior of treating data-movement
-#: nodes as free.
+#: Data-movement ops: free, so their cost is zero even with no usable
+#: inputs.
 _ZERO_COST_OPS = frozenset({
     OpType.INPUT, OpType.OUTPUT, OpType.FLATTEN, OpType.CONCAT,
     OpType.ZERO_PAD, OpType.CHANNEL_SHUFFLE, OpType.IDENTITY,
@@ -566,10 +570,12 @@ def infer_output_shape(op: OpType | None, attrs: dict,
 
 def recount_cost(op: OpType | None, attrs: dict,
                  in_shapes: Sequence[Shape]) -> tuple[int, int] | None:
-    """Recompute ``(params, flops)`` with the builder's conventions.
+    """Derive ``(params, flops)`` of one node from its op, attrs and
+    input shapes.
 
-    Mirrors :mod:`repro.graphs.builder` exactly; returns ``None`` when
-    the op's cost is not recomputable from attrs + input shapes.
+    Returns ``None`` when the cost is not derivable from attrs + input
+    shapes (unknown op, missing attrs, wrong input rank, channels the
+    conv groups do not divide).
     """
     if op in _ZERO_COST_OPS:
         return 0, 0

@@ -8,18 +8,12 @@ from repro.bench import check_gates, embed_throughput, run_perf_suite
 from repro.cli import main as cli_main
 
 
-def _payload(embed=None, tracegen=None, static=None):
+def _payload(embed=None, tracegen=None):
     return {
         "embed": embed if embed is not None else [],
         "tracegen": tracegen if tracegen is not None else [],
         "serve": None,
-        "static": static if static is not None else [],
     }
-
-
-def _static_point(model="alexnet", deterministic=True):
-    return {"model": model, "steps": 26, "seconds": 0.01,
-            "digest": "f" * 64, "deterministic": deterministic}
 
 
 def _embed_point(k=8, speedup=2.0, diff=0.0):
@@ -81,20 +75,6 @@ class TestCheckGates:
         payload = _payload(
             tracegen=[{"workers": 4, "identical_to_serial": False}])
         assert any("records differ" in f for f in check_gates(payload))
-
-    def test_deterministic_plan_passes(self):
-        payload = _payload(static=[_static_point()])
-        assert check_gates(payload) == []
-
-    def test_nondeterministic_plan_fails(self):
-        payload = _payload(static=[_static_point(deterministic=False)])
-        failures = check_gates(payload)
-        assert any("plan digest changed" in f for f in failures)
-
-    def test_legacy_payload_without_static_key_passes(self):
-        payload = _payload()
-        del payload["static"]
-        assert check_gates(payload) == []
 
     def test_obs_within_budget_passes(self):
         payload = dict(_payload(), obs=_obs_point(ratio=1.03))

@@ -1,4 +1,4 @@
-"""End-to-end tests of ``repro plan`` and the new ``repro lint`` flags."""
+"""End-to-end tests of the ``repro lint`` ``--static`` and ``--code`` flags."""
 
 import json
 
@@ -9,49 +9,6 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-class TestPlanCommand:
-    def test_text_output(self, capsys):
-        code, out, _ = run_cli(["plan", "alexnet", "--max-steps", "5"],
-                               capsys)
-        assert code == 0
-        assert "plan for alexnet (batch=1)" in out
-        assert "digest:" in out
-        assert "more step(s)" in out
-
-    def test_digest_mode_is_deterministic(self, capsys):
-        code, first, _ = run_cli(
-            ["plan", "alexnet", "resnet18", "--digest"], capsys)
-        assert code == 0
-        code, second, _ = run_cli(
-            ["plan", "alexnet", "resnet18", "--digest"], capsys)
-        assert code == 0
-        assert first == second
-        lines = first.strip().splitlines()
-        assert len(lines) == 2
-        name, digest = lines[0].split()
-        assert name == "alexnet"
-        assert len(digest) == 64
-
-    def test_json_output(self, capsys):
-        code, out, _ = run_cli(["plan", "alexnet", "--json",
-                                "--batch", "8"], capsys)
-        assert code == 0
-        payload = json.loads(out)
-        assert payload[0]["graph"] == "alexnet"
-        assert payload[0]["batch_size"] == 8
-        assert payload[0]["digest"]
-
-    def test_unknown_model_errors(self, capsys):
-        code, _, err = run_cli(["plan", "not-a-model"], capsys)
-        assert code == 1
-        assert "error:" in err
-
-    def test_nothing_to_plan_errors(self, capsys):
-        code, _, err = run_cli(["plan"], capsys)
-        assert code == 1
-        assert "nothing to plan" in err
 
 
 class TestLintFlags:

@@ -5,32 +5,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.graphs import GraphBuilder, GraphValidationError, OpType
-from repro.graphs.builder import conv_out_size
 
 
 class TestConvOutSize:
-    def test_same_padding(self):
-        assert conv_out_size(32, 3, 1, 1) == 32
-
-    def test_stride_two(self):
-        assert conv_out_size(32, 3, 2, 1) == 16
-
-    def test_no_padding(self):
-        assert conv_out_size(32, 3, 1, 0) == 30
-
-    def test_nonpositive_raises(self):
-        with pytest.raises(GraphValidationError):
-            conv_out_size(1, 3, 2, 0)
-
     @given(size=st.integers(8, 64), kernel=st.integers(1, 7),
            stride=st.integers(1, 4), padding=st.integers(0, 3))
     def test_matches_floor_formula(self, size, kernel, stride, padding):
+        """``GraphBuilder.conv`` output size is the floor formula, and
+        a non-positive window is refused at append time."""
         expected = (size + 2 * padding - kernel) // stride + 1
+        g = GraphBuilder("t", (3, size, size))
         if expected <= 0:
             with pytest.raises(GraphValidationError):
-                conv_out_size(size, kernel, stride, padding)
+                g.conv(g.input_id, 4, kernel, stride=stride,
+                       padding=padding)
         else:
-            assert conv_out_size(size, kernel, stride, padding) == expected
+            nid = g.conv(g.input_id, 4, kernel, stride=stride,
+                         padding=padding)
+            assert g.shape(nid) == (4, expected, expected)
 
 
 class TestConv:
@@ -71,6 +63,11 @@ class TestConv:
         g.output(nid)
         graph = g.build()
         assert graph.node(nid).params == 3 * 3 * (8 // 4) * 16
+
+    def test_window_too_large_raises(self):
+        g = GraphBuilder("t", (3, 1, 1))
+        with pytest.raises(GraphValidationError, match="cannot derive"):
+            g.conv(g.input_id, 8, 3, stride=2)
 
     def test_invalid_groups_raises(self):
         g = GraphBuilder("t", (6, 8, 8))

@@ -154,3 +154,35 @@ class TestCrossThreadAttach:
         finally:
             tracer.detach(token)
         assert tracer.records() == []
+
+
+class TestEmit:
+    def test_finished_span_parents_under_context(self, tracer):
+        with tracer.span("ingress"):
+            ctx = tracer.current_context()
+        span = tracer.emit("execute", ctx, start_wall=5.0, duration=0.25,
+                           source="cache")
+        (ingress, execute) = tracer.records()
+        assert execute.span_id == span.span_id
+        assert execute.trace_id == ingress.trace_id
+        assert execute.parent_id == ingress.span_id
+        assert (execute.start_wall, execute.duration) == (5.0, 0.25)
+        assert execute.attrs == {"source": "cache"}
+        assert validate(tracer.records()) == []
+
+    def test_leaves_thread_state_alone(self, tracer):
+        with tracer.span("outer") as outer:
+            tracer.emit("side", TraceContext("t09", "s09"),
+                        start_wall=0.0, duration=0.0)
+            assert tracer.current_context().span_id == outer.span_id
+        assert outer.children == []
+
+    def test_noop_when_disabled_unsampled_or_contextless(self):
+        off = Tracer()
+        ctx = TraceContext("t01", "s01")
+        assert off.emit("x", ctx, start_wall=0.0, duration=0.0) is None
+        on = Tracer()
+        on.enable()
+        for dead in (None, TraceContext("t01", "s01", sampled=False)):
+            assert on.emit("x", dead, start_wall=0.0, duration=0.0) is None
+        assert off.records() == on.records() == []

@@ -149,6 +149,47 @@ class TestLoadgenTraces:
         for trace_id in exemplars:
             assert "serve.execute" in trees[trace_id].span_names()
 
+    def test_cache_hit_gets_its_own_execute_span(self, predictor):
+        with obs.observed() as (tracer, _):
+            with PredictionServer(predictor,
+                                  ServeConfig(workers=1)) as server:
+                for _ in range(2):
+                    with tracer.span("caller"):
+                        server.predict(_request(), timeout=30.0)
+            records = tracer.records()
+        assert validate(records) == []
+        first, second = sorted(stitch(records),
+                               key=lambda t: t.record.trace_id)
+        assert "predictddl.predict" in first.span_names()
+        assert "predictddl.predict" not in second.span_names()
+        (hit,) = [r for r in records if r.trace_id == second.record.trace_id
+                  and r.name == "serve.execute"]
+        assert hit.attrs["source"] == "cache"
+
+    def test_coalesced_followers_link_to_the_leader(self, predictor):
+        # One worker and a wide batch window: three identical requests
+        # land in one micro-batch and execute once.
+        config = ServeConfig(workers=1, batch_window=0.2)
+        with obs.observed() as (tracer, _):
+            with PredictionServer(predictor, config) as server:
+                futures = []
+                for _ in range(3):
+                    with tracer.span("caller"):
+                        futures.append(server.submit(_request()))
+                for future in futures:
+                    future.result(30.0)
+            records = tracer.records()
+        assert validate(records) == []
+        executes = [r for r in records if r.name == "serve.execute"]
+        assert len({r.trace_id for r in executes}) == 3
+        (leader,) = [r for r in executes
+                     if r.attrs.get("source") != "coalesced"]
+        followers = [r for r in executes
+                     if r.attrs.get("source") == "coalesced"]
+        assert len(followers) == 2
+        assert all(r.attrs["leader"] == leader.span_id for r in followers)
+        assert all(r.duration == leader.duration for r in followers)
+
     def test_tracing_off_yields_untraced_samples(self, predictor):
         spec = TrafficSpec(num_requests=6, rate=2000.0)
         config = ServeConfig(workers=2, max_queue_depth=6)

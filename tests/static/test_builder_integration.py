@@ -51,19 +51,15 @@ class TestAddOp:
                      bias=True)
 
 
-class TestBuildInferShapes:
-    def test_heals_nothing_on_clean_graph(self):
-        g = GraphBuilder("clean", (3, 8, 8))
-        x = g.conv(g.input_id, 4, 3, padding=1)
-        x = g.flatten(x)
-        x = g.linear(x, 10)
-        g.output(x)
-        stored = g.build()
-        inferred = g.build(infer_shapes=True)
-        assert [(nd.out_shape, nd.params, nd.flops)
-                for nd in stored.nodes] == \
-            [(nd.out_shape, nd.params, nd.flops)
-             for nd in inferred.nodes]
+    def test_uncostable_node_raises(self):
+        # The shape is derivable but 4 groups do not divide 6 channels,
+        # so no params/FLOPs exist to record.
+        g = GraphBuilder("broken", (6, 8, 8))
+        with pytest.raises(GraphValidationError,
+                           match="cannot derive 'conv' params/FLOPs"):
+            g.add_op(OpType.CONV, [g.input_id], kernel_size=3, stride=1,
+                     padding=1, groups=4, in_channels=6, out_channels=16,
+                     bias=True)
 
 
 class TestSerializationInferShapes:

@@ -1,14 +1,10 @@
 """Whole-graph shape inference: forward/backward solving, contradiction
 diagnostics, and one deliberately-malformed graph per failure class."""
 
-import pytest
-
 from repro.graphs import GraphBuilder, OpType, graph_to_dict
 from repro.graphs.graph import ComputationalGraph, Node
 from repro.graphs.verify import Severity
-from repro.static import (STATIC_RULE_IDS, analyze_graph, infer_shapes,
-                          plan_graph)
-from repro.static.planner import PlanningError
+from repro.static import STATIC_RULE_IDS, analyze_graph, infer_shapes
 
 
 def residual_graph():
@@ -125,10 +121,6 @@ class TestFailureClasses:
                 if d.rule_id == "static-memory-budget"]
         assert len(over) == 1
         assert "exceeds device budget" in over[0].message
-
-    def test_planner_refuses_contradiction(self):
-        with pytest.raises(PlanningError, match="cannot plan graph"):
-            plan_graph(contradiction_graph())
 
     def test_cyclic_graph_diagnosed_not_raised(self):
         # Payload form: the ComputationalGraph constructor would reject

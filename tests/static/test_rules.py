@@ -13,6 +13,14 @@ from repro.static.rules import (OpRule, broadcast_mul_shape,
 
 
 class TestConvArithmetic:
+    @pytest.mark.parametrize(
+        "size, kernel, stride, padding, expected",
+        [(32, 3, 1, 1, 32), (32, 3, 2, 1, 16), (32, 3, 1, 0, 30),
+         (1, 3, 2, 0, 0)],
+        ids=["same-padding", "stride-two", "no-padding", "nonpositive"])
+    def test_known_sizes(self, size, kernel, stride, padding, expected):
+        assert conv_output_size(size, kernel, stride, padding) == expected
+
     @given(size=st.integers(1, 256), kernel=st.integers(1, 11),
            stride=st.integers(1, 4), padding=st.integers(0, 5))
     @settings(max_examples=200, deadline=None)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.graphs.verify import GraphView
 from repro.graphs.zoo import get_model, list_models
-from repro.static import analyze_graph, infer_shapes, plan_graph
+from repro.static import analyze_graph, infer_shapes, schedule
 
 
 @pytest.mark.parametrize("name", list_models())
@@ -33,15 +33,13 @@ def test_inference_bitwise_matches_stored(name):
                                   "regnet_y_400mf"])
 def test_analyzer_clean_and_plannable(name):
     """Families with every merge/attention idiom in the zoo: the full
-    analyzer report is empty and a plan can be lowered."""
+    analyzer report is empty and the dataflow schedule covers every node
+    exactly once."""
     graph = get_model(name)
     report = analyze_graph(graph)
     assert report.ok, report.format_text()
     assert not report.diagnostics, name
-    plan = plan_graph(graph)
-    assert len(plan.steps) == len(graph.nodes)
-    assert plan.total_params == sum(n.params for n in graph.nodes)
-    assert plan.total_flops == sum(n.flops for n in graph.nodes)
+    assert sorted(schedule(graph)) == [nd.node_id for nd in graph.nodes]
 
 
 def test_nondefault_input_size_also_infers():
